@@ -1,37 +1,25 @@
-// Command f2tree-vet is the repository's determinism, contract and
-// concurrency static-analysis gate. It runs the stock `go vet` passes and
-// then the custom analyzers from internal/analysis — mapiter, simclock,
-// lockcheck, poolcheck, hotpathalloc, epochcheck, handlecheck, shardcheck,
-// plus the CFG-backed concurrency four: lockorder, goleak, chanblock and
-// wgcheck — over every non-test package in the module, and exits
-// non-zero on any finding. Packages are analyzed in parallel dependency
-// order: each package runs only after its dependencies, so the facts they
-// export (allocates-on-steady-path, reads-wall-clock, shardlocal, ...)
-// are complete when its pass starts, making the analyzers transitive
-// across package boundaries. CI runs it between `go vet` and the
+// Command f2tree-vet is the repository's determinism and contract
+// static-analysis gate. It runs the stock `go vet` passes and then the
+// custom analyzers from internal/analysis — mapiter, simclock, lockcheck,
+// poolcheck, hotpathalloc, epochcheck and handlecheck — over every
+// non-test package in the module, and exits non-zero on any finding.
+// Packages are analyzed one after another in dependency order, so the
+// facts a package's dependencies export (allocates-on-steady-path,
+// reads-wall-clock, retains-parameter, ...) are complete when its pass
+// starts, making the analyzers transitive across package boundaries.
+// Nothing is cached between runs. CI runs it between `go vet` and the
 // race-enabled tests:
 //
 //	go run ./cmd/f2tree-vet ./...
 //
 // Flags:
 //
-//	-novet       skip the stock go vet passes (custom analyzers only)
-//	-list        print the analyzers and the in-scope packages, then exit
-//	-all         lift the scope filter (analyze every matched package)
-//	-json        emit findings (or the -audit inventory) as JSON on stdout
-//	-audit       inventory every //f2tree: directive and fail on stale
-//	             suppressions, unknown verbs and missing justifications
-//	-j N         analysis parallelism (0 = GOMAXPROCS); results are
-//	             byte-identical at any setting
-//	-cachedir D  result-cache directory (default os.UserCacheDir()/f2tree-vet)
-//	-nocache     disable the result cache
-//	-v           report each package as it is analyzed, plus cache stats
-//
-// Results are cached per package under a content hash covering the
-// package's source bytes, the analyzer set, the mode flags and the facts
-// of every transitive dependency — editing an upstream annotation
-// invalidates every downstream entry, and a warm run replays findings
-// byte-identically.
+//	-novet  skip the stock go vet passes (custom analyzers only)
+//	-list   print the analyzers and the in-scope packages, then exit
+//	-all    lift the scope filter (analyze every matched package)
+//	-json   emit findings (or the -audit inventory) as JSON on stdout
+//	-audit  inventory every //f2tree: directive and fail on stale
+//	        suppressions, unknown verbs and missing justifications
 //
 // Exit codes: 0 clean, 1 findings (or audit defects), 2 operational
 // error — including a package pattern that matches nothing in scope, so a
@@ -68,16 +56,11 @@ func run(args []string) int {
 	all := fs.Bool("all", false, "run the analyzers on every listed package, not just the in-scope ones")
 	jsonOut := fs.Bool("json", false, "emit findings (or the audit inventory) as JSON on stdout")
 	audit := fs.Bool("audit", false, "audit //f2tree: directives instead of reporting findings")
-	workers := fs.Int("j", 0, "analysis parallelism (0 = GOMAXPROCS)")
-	cacheDir := fs.String("cachedir", "", "result-cache directory (default: user cache dir)")
-	noCache := fs.Bool("nocache", false, "disable the per-package result cache")
-	verbose := fs.Bool("v", false, "report each package as it is analyzed, plus cache stats")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: f2tree-vet [flags] [packages]\n\n")
-		fmt.Fprintf(fs.Output(), "Runs go vet plus the determinism/contract/concurrency analyzers (mapiter,\n")
-		fmt.Fprintf(fs.Output(), "simclock, lockcheck, poolcheck, hotpathalloc, epochcheck, handlecheck,\n")
-		fmt.Fprintf(fs.Output(), "shardcheck, lockorder, goleak, chanblock, wgcheck)\n")
-		fmt.Fprintf(fs.Output(), "in parallel dependency order with cross-package fact propagation.\n")
+		fmt.Fprintf(fs.Output(), "Runs go vet plus the determinism/contract analyzers (mapiter, simclock,\n")
+		fmt.Fprintf(fs.Output(), "lockcheck, poolcheck, hotpathalloc, epochcheck, handlecheck) in one\n")
+		fmt.Fprintf(fs.Output(), "sequential pass in dependency order with cross-package fact propagation.\n")
 		fmt.Fprintf(fs.Output(), "Default package pattern: ./...\n\n")
 		fs.PrintDefaults()
 	}
@@ -135,19 +118,7 @@ func run(args []string) int {
 		return 2
 	}
 
-	var disk *analysis.DiskCache
-	var cache analysis.Cache
-	if !*noCache {
-		dir := *cacheDir
-		if dir == "" {
-			dir = analysis.DefaultCacheDir()
-		}
-		if dir != "" {
-			disk = &analysis.DiskCache{Dir: dir}
-			cache = disk
-		}
-	}
-	opt := analysis.RunOptions{InScope: inScope, Workers: *workers, Cache: cache}
+	opt := analysis.RunOptions{InScope: inScope}
 
 	if *audit {
 		return runAudit(pkgs, opt, *jsonOut)
@@ -161,13 +132,6 @@ func run(args []string) int {
 
 	report := jsonReport{Facts: make(map[string][]analysis.Fact)}
 	for _, r := range results {
-		if *verbose {
-			status := "analyzed"
-			if r.CacheHit {
-				status = "cached"
-			}
-			fmt.Fprintf(os.Stderr, "f2tree-vet: %s %s\n", status, r.ImportPath)
-		}
 		if len(r.Facts) > 0 {
 			report.Facts[r.ImportPath] = r.Facts
 		}
@@ -189,9 +153,6 @@ func run(args []string) int {
 			return 2
 		}
 	}
-	if disk != nil {
-		fmt.Fprintf(os.Stderr, "f2tree-vet: cache: %s\n", disk.Summary())
-	}
 	if report.Count > 0 {
 		fmt.Fprintf(os.Stderr, "f2tree-vet: %d finding(s)\n", report.Count)
 		failed = true
@@ -206,7 +167,8 @@ func run(args []string) int {
 // and fails on stale suppressions, unknown verbs and suppressions with no
 // justification. The audit re-runs the analyzers through the same graph
 // driver with suppression disabled, so an interprocedural finding (a
-// shardport seam, a transitive wallclock call) keeps its directive live.
+// transitive wallclock call, a cross-package retention) keeps its
+// directive live.
 func runAudit(pkgs []*analysis.Package, opt analysis.RunOptions, jsonOut bool) int {
 	res, err := analysis.Audit(pkgs, opt)
 	if err != nil {

@@ -8,7 +8,7 @@
 // loaded with `go list -export` and type-checked against compiler export
 // data.
 //
-// The determinism suite (PR 1):
+// The determinism suite:
 //
 //   - mapiter:   flags `range` over a map in simulation/routing packages.
 //     Go randomizes map iteration per run, so any map range that feeds an
@@ -28,8 +28,8 @@
 //     parallel-replica runner. State belongs on the engine or instance;
 //     `//f2tree:sharedstate <reason>` is the audited escape hatch.
 //
-// The contract/lifecycle suite (this PR) machine-checks the object-pool,
-// hot-path and cache-epoch contracts the zero-allocation core introduced:
+// The contract/lifecycle suite machine-checks the object-pool, hot-path
+// and cache-epoch contracts the zero-allocation core introduced:
 //
 //   - poolcheck:    a pooled value (network.Packet, the netEvent in-flight
 //     records, sim's heap items — any type marked `//f2tree:pooled`)
@@ -57,6 +57,16 @@
 //     Cancel (reassignment revives it) and must not cross a goroutine
 //     boundary. Escape hatch: `//f2tree:handle <reason>`.
 //
+// The driver (RunGraph) applies every analyzer to one package at a time in
+// dependency order, handing each pass the facts its dependencies exported,
+// in a single sequential pass with no result cache: a run depends only on
+// the source it reads.
+//
+// Concurrency is not gated here. The few goroutines in live code
+// (serve, the campaign worker pool, the f2tree-serve bench) are checked
+// dynamically instead: `go test -race`, testutil.VerifyNoLeaks in their
+// tests, and `make stress`.
+//
 // Suppression directives are themselves audited: the Audit entry point
 // inventories every `//f2tree:` directive and reports suppressions whose
 // line no longer triggers the analyzer they silence (stale suppressions),
@@ -77,13 +87,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description.
 	Doc string
-	// Version salts the driver's result-cache key: bump it whenever the
-	// analyzer's logic changes (new rules, changed fact kinds, different
-	// messages), so cached findings produced by the old logic are never
-	// replayed as if the new logic had run. Adding or removing analyzers
-	// invalidates the cache through the analyzer-set hash already; Version
-	// covers in-place edits the set hash cannot see.
-	Version int
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
 }
@@ -113,11 +116,6 @@ type Pass struct {
 	// ExportFact records a fact about a package-level symbol so downstream
 	// packages can consume it. Nil outside the graph driver.
 	ExportFact func(obj types.Object, kind string)
-	// ExportSymFact records a fact keyed by an explicit symbol string rather
-	// than a types.Object — for facts about entities that are not Go objects,
-	// like lock classes ("pkg.(Type).field" edges in the acquisition-order
-	// graph). Nil outside the graph driver.
-	ExportSymFact func(sym, kind string)
 }
 
 // fileFor returns the pass file whose source range contains pos, or nil.

@@ -30,12 +30,12 @@ func posOf(t *testing.T, fset *token.FileSet, f *ast.File, line int) token.Pos {
 
 // TestDirectiveLinesKeepsEveryDirectiveOnALine is the regression test for
 // the map[int]string → map[int][]string fix: two directives whose
-// comments end on the same line must both be recorded — the pattern the
-// stacked /*f2tree:pooled*/ /*f2tree:shardlocal*/ type markers rely on.
+// comments end on the same line must both be recorded — the pattern
+// stacked block-comment markers rely on.
 func TestDirectiveLinesKeepsEveryDirectiveOnALine(t *testing.T) {
 	src := `package p
 
-/*f2tree:pooled*/ /*f2tree:shardlocal*/
+/*f2tree:pooled*/ /*f2tree:hotpath*/
 type T struct{}
 `
 	fset, f := parseOne(t, src)
@@ -44,7 +44,7 @@ type T struct{}
 		t.Fatalf("line 3 has %d directives, want 2: %v", got, dirs[3])
 	}
 	typePos := posOf(t, fset, f, 4)
-	for _, verb := range []string{VerbPooled, VerbShardLocal} {
+	for _, verb := range []string{VerbPooled, VerbHotPath} {
 		if !suppressed(dirs, fset, typePos, verb) {
 			t.Errorf("verb %q on the stacked line does not cover the type declaration", verb)
 		}
@@ -88,19 +88,19 @@ func TestDirectiveAdjacencyAroundDocComments(t *testing.T) {
 
 // T is documented.
 //
-//f2tree:shardlocal
+//f2tree:pooled
 type T struct{}
 
-//f2tree:shardlocal
+//f2tree:pooled
 // U is documented; the directive is two lines up from the declaration.
 type U struct{}
 `
 	fset, f := parseOne(t, src)
 	dirs := directiveLines(fset, f)
-	if !suppressed(dirs, fset, posOf(t, fset, f, 6), VerbShardLocal) {
+	if !suppressed(dirs, fset, posOf(t, fset, f, 6), VerbPooled) {
 		t.Error("directive on the last doc line does not cover the declaration")
 	}
-	if suppressed(dirs, fset, posOf(t, fset, f, 10), VerbShardLocal) {
+	if suppressed(dirs, fset, posOf(t, fset, f, 10), VerbPooled) {
 		t.Error("directive above the doc comment must not cover the declaration two lines down")
 	}
 }

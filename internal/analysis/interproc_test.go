@@ -51,12 +51,11 @@ func appResult(t *testing.T, results []*analysis.PkgResult) *analysis.PkgResult 
 }
 
 // TestInterprocCatchesCrossPackageViolations is the acceptance test for
-// the fact layer: the graph run must flag all four cross-package
-// violations in app — the package-level cache of shard-local state, the
-// hot path calling a transitively-allocating helper, the transitive
-// wall-clock read, and the pooled argument handed to a cross-package
-// retainer — while a per-package run of the same analyzers over app alone
-// provably sees none of them.
+// the fact layer: the graph run must flag all three cross-package
+// violations in app — the hot path calling a transitively-allocating
+// helper, the transitive wall-clock read, and the pooled argument handed to
+// a cross-package retainer — while a per-package run of the same analyzers
+// over app alone provably sees none of them.
 func TestInterprocCatchesCrossPackageViolations(t *testing.T) {
 	pkgs := loadInterproc(t)
 	results, err := analysis.RunGraph(pkgs, analysis.Analyzers(), analysis.RunOptions{})
@@ -66,7 +65,6 @@ func TestInterprocCatchesCrossPackageViolations(t *testing.T) {
 	app := appResult(t, results)
 
 	wantByAnalyzer := map[string]string{
-		"shardcheck":   "holds shard-local state (interproc/state.Table)",
 		"hotpathalloc": "calls interproc/state.Wrap, which allocates on its steady path (exported fact)",
 		"simclock":     "call to interproc/state.WrapClock, which transitively reads the wall clock",
 		"poolcheck":    "passed to interproc/state.Keep, which retains this parameter (exported fact)",
@@ -122,7 +120,6 @@ func TestInterprocFactExports(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"interproc/state.Table shardlocal",
 		"interproc/state.Rec pooled",
 		"interproc/state.Wrap allocates",
 		"interproc/state.WrapClock wallclock",
@@ -138,15 +135,15 @@ func TestInterprocFactExports(t *testing.T) {
 	}
 }
 
-// TestRunGraphDeterministicAcrossWorkers requires byte-identical results
-// at any parallelism — the same j=1 ≡ j=8 guarantee the campaign pool
-// gives.
-func TestRunGraphDeterministicAcrossWorkers(t *testing.T) {
+// TestRunGraphDeterministic requires byte-identical results from two runs
+// over the same packages: the driver is a plain loop in dependency order,
+// so nothing about a run may depend on map order or timing.
+func TestRunGraphDeterministic(t *testing.T) {
 	pkgs := loadInterproc(t)
-	encode := func(workers int) string {
-		results, err := analysis.RunGraph(pkgs, analysis.Analyzers(), analysis.RunOptions{Workers: workers})
+	encode := func() string {
+		results, err := analysis.RunGraph(pkgs, analysis.Analyzers(), analysis.RunOptions{})
 		if err != nil {
-			t.Fatalf("RunGraph(workers=%d): %v", workers, err)
+			t.Fatalf("RunGraph: %v", err)
 		}
 		b, err := json.Marshal(results)
 		if err != nil {
@@ -154,53 +151,18 @@ func TestRunGraphDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return string(b)
 	}
-	base := encode(1)
-	for _, w := range []int{2, 8} {
-		if got := encode(w); got != base {
-			t.Errorf("results differ between workers=1 and workers=%d", w)
-		}
+	if a, b := encode(), encode(); a != b {
+		t.Errorf("two runs over the same packages differ:\n%s\n%s", a, b)
 	}
 }
 
-// TestRunGraphDiskCache checks the result cache end to end: a cold run
-// misses and populates, a warm run hits for every package and replays
-// byte-identical findings and facts.
-func TestRunGraphDiskCache(t *testing.T) {
+// TestRunGraphRejectsOutOfOrderPackages: facts flow from dependencies to
+// dependents only if every package comes after its dependencies, so a
+// reversed package list is an error, not a silently fact-less run.
+func TestRunGraphRejectsOutOfOrderPackages(t *testing.T) {
 	pkgs := loadInterproc(t)
-	dir := t.TempDir()
-
-	cold := &analysis.DiskCache{Dir: dir}
-	first, err := analysis.RunGraph(pkgs, analysis.Analyzers(), analysis.RunOptions{Cache: cold})
-	if err != nil {
-		t.Fatalf("cold RunGraph: %v", err)
-	}
-	if cold.Hits != 0 || cold.Misses != len(pkgs) {
-		t.Errorf("cold run: %d hits / %d misses, want 0 / %d", cold.Hits, cold.Misses, len(pkgs))
-	}
-
-	warm := &analysis.DiskCache{Dir: dir}
-	second, err := analysis.RunGraph(pkgs, analysis.Analyzers(), analysis.RunOptions{Cache: warm})
-	if err != nil {
-		t.Fatalf("warm RunGraph: %v", err)
-	}
-	if warm.Hits != len(pkgs) || warm.Misses != 0 {
-		t.Errorf("warm run: %d hits / %d misses, want %d / 0", warm.Hits, warm.Misses, len(pkgs))
-	}
-	for _, r := range second {
-		if !r.CacheHit {
-			t.Errorf("warm run did not hit the cache for %s", r.ImportPath)
-		}
-	}
-
-	a, err := json.Marshal(first)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	b, err := json.Marshal(second)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	if string(a) != string(b) {
-		t.Error("warm run's findings/facts are not byte-identical to the cold run's")
+	reversed := []*analysis.Package{pkgs[1], pkgs[0]}
+	if _, err := analysis.RunGraph(reversed, analysis.Analyzers(), analysis.RunOptions{}); err == nil {
+		t.Fatal("RunGraph accepted app before its dependency state")
 	}
 }

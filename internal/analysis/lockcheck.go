@@ -131,8 +131,8 @@ func runLockCheck(pass *Pass) error {
 	return nil
 }
 
-// Analyzers returns every analyzer — determinism, contract/lifecycle,
-// shard ownership and the CFG-backed concurrency gate — in a stable order.
+// Analyzers returns every analyzer — determinism and contract/lifecycle —
+// in a stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{ChanBlock, EpochCheck, GoLeak, HandleCheck, HotPathAlloc, LockCheck, LockOrder, MapIter, PoolCheck, ShardCheck, SimClock, WGCheck}
+	return []*Analyzer{EpochCheck, HandleCheck, HotPathAlloc, LockCheck, MapIter, PoolCheck, SimClock}
 }

@@ -1,28 +1,13 @@
 package analysis
 
 import (
-	"errors"
 	"fmt"
 	"go/types"
-	"runtime"
 	"sort"
-	"strings"
-	"sync"
 )
 
-// cacheSchema versions the driver's result-cache entries. Bump it whenever
-// the Finding/Fact shapes or the key derivation change, so stale entries
-// from an older binary can never be replayed. Per-analyzer logic changes
-// are covered more surgically by AnalyzersHash (each Analyzer.Version is
-// part of the key), so a single-analyzer bump does not have to invalidate
-// results the other analyzers could still share — but since every analyzer
-// runs in one pass per package here, either mechanism invalidates the
-// whole entry; the split exists so the salt lives next to the logic it
-// versions.
-const cacheSchema = "f2tree-vet/3"
-
 // Finding is one position-resolved diagnostic — the serializable form the
-// driver prints, emits as JSON and stores in the result cache.
+// driver prints and emits as JSON.
 type Finding struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -45,9 +30,6 @@ type PkgResult struct {
 	ImportPath string    `json:"package"`
 	Findings   []Finding `json:"findings"`
 	Facts      []Fact    `json:"facts"`
-	// CacheHit and DepOnly are run-local bookkeeping, not cache content.
-	CacheHit bool `json:"-"`
-	DepOnly  bool `json:"-"`
 }
 
 // RunOptions configures a graph run.
@@ -58,185 +40,43 @@ type RunOptions struct {
 	// InScope filters which packages produce findings; nil means all.
 	// Fact generation always runs on every loaded package regardless.
 	InScope func(importPath string) bool
-	// Workers bounds analysis parallelism; <= 0 means GOMAXPROCS.
-	Workers int
-	// Cache, when non-nil, memoizes per-package results keyed by a content
-	// hash covering the package source, the analyzer set, the mode flags
-	// and the facts of every transitive dependency.
-	Cache Cache
 }
 
-// RunGraph applies the analyzers to the packages in dependency order:
-// a package is analyzed only after all its in-graph dependencies, so the
-// facts they export (allocates, wallclock, shardlocal, retains:N, ...) are
-// complete when its pass starts. Packages with no ordering constraint
-// between them run in parallel. Results come back sorted by import path,
-// one per package, so output is deterministic at any worker count — the
-// same guarantee the campaign pool gives (j=1 ≡ j=8).
+// RunGraph applies the analyzers to the packages in dependency order,
+// which is the order Load returns them in (`go list -deps` lists every
+// package after its dependencies). Each pass therefore starts with the
+// facts of its whole transitive dependency closure (allocates, wallclock,
+// retains:N, ...). One sequential loop; results come back sorted by
+// import path, one per package.
 func RunGraph(pkgs []*Package, analyzers []*Analyzer, opt RunOptions) ([]*PkgResult, error) {
-	byPath := make(map[string]*Package, len(pkgs))
+	inGraph := make(map[string]bool, len(pkgs))
 	for _, p := range pkgs {
-		byPath[p.ImportPath] = p
+		inGraph[p.ImportPath] = true
 	}
-
-	// Build the in-graph dependency edges.
-	deps := make(map[string][]string)
-	dependents := make(map[string][]string)
-	indeg := make(map[string]int)
-	for _, p := range pkgs {
-		for _, imp := range p.Imports {
-			if _, ok := byPath[imp]; ok && imp != p.ImportPath {
-				deps[p.ImportPath] = append(deps[p.ImportPath], imp)
-				dependents[imp] = append(dependents[imp], p.ImportPath)
-				indeg[p.ImportPath]++
-			}
-		}
-	}
-
-	// Transitive dependency closure, memoized. Go import graphs are
-	// acyclic, so plain recursion terminates.
-	closure := make(map[string][]string)
-	var transitive func(path string) []string
-	transitive = func(path string) []string {
-		if c, ok := closure[path]; ok {
-			return c
-		}
-		set := make(map[string]bool)
-		for _, d := range deps[path] {
-			set[d] = true
-			for _, t := range transitive(d) {
-				set[t] = true
-			}
-		}
-		out := make([]string, 0, len(set))
-		//f2tree:unordered closure list is sorted below
-		for d := range set {
-			out = append(out, d)
-		}
-		sort.Strings(out)
-		closure[path] = out
-		return out
-	}
-	for _, p := range pkgs {
-		transitive(p.ImportPath)
-	}
-
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	var (
-		mu      sync.Mutex
-		results = make(map[string]*PkgResult, len(pkgs))
-		errs    []error
-		done    int
-		ready   = make(chan string, len(pkgs))
-		wg      sync.WaitGroup
-	)
-	// Seed the ready queue with dependency-free packages, in sorted order
-	// for a stable starting schedule.
-	roots := make([]string, 0, len(pkgs))
-	for _, p := range pkgs {
-		if indeg[p.ImportPath] == 0 {
-			roots = append(roots, p.ImportPath)
-		}
-	}
-	sort.Strings(roots)
-	for _, r := range roots {
-		ready <- r
-	}
-	if len(pkgs) == 0 {
-		close(ready)
-	}
-
-	// complete records one package's result and releases any dependents
-	// whose last dependency this was. Closing ready when every package is
-	// accounted for ends the workers' range loops.
-	complete := func(path string, res *PkgResult, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			errs = append(errs, err)
-		}
-		results[path] = res
-		done++
-		for _, dep := range dependents[path] {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				ready <- dep
-			}
-		}
-		if done == len(pkgs) {
-			close(ready)
-		}
-	}
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for path := range ready {
-				pkg := byPath[path]
-
-				// Dependencies are complete (the scheduler released this
-				// package only after their results were stored), so their
-				// facts can be merged under the lock.
-				depFacts := make(FactSet)
-				mu.Lock()
-				for _, d := range closure[path] {
-					if r := results[d]; r != nil {
-						depFacts.AddAll(r.Facts)
-					}
-				}
-				mu.Unlock()
-
-				inScope := !pkg.DepOnly && (opt.InScope == nil || opt.InScope(path))
-
-				var key string
-				if opt.Cache != nil {
-					key = resultCacheKey(pkg, analyzers, opt, inScope, depFacts)
-					mu.Lock()
-					cached, ok := opt.Cache.Get(key)
-					mu.Unlock()
-					if ok {
-						cached.ImportPath = path
-						cached.CacheHit = true
-						cached.DepOnly = pkg.DepOnly
-						complete(path, cached, nil)
-						continue
-					}
-				}
-
-				res, err := analyzePackage(pkg, analyzers, opt, inScope, depFacts)
-				if err == nil && opt.Cache != nil {
-					mu.Lock()
-					opt.Cache.Put(key, res)
-					mu.Unlock()
-				}
-				if res == nil {
-					res = &PkgResult{ImportPath: path}
-				}
-				res.DepOnly = pkg.DepOnly
-				complete(path, res, err)
-			}
-		}()
-	}
-	wg.Wait()
-
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
+	// visible maps each analyzed package to the facts its dependents see:
+	// its own exports plus everything visible to it.
+	visible := make(map[string][]Fact, len(pkgs))
 	out := make([]*PkgResult, 0, len(pkgs))
-	//f2tree:unordered result list is sorted below
-	for _, r := range results {
-		out = append(out, r)
+	for _, pkg := range pkgs {
+		depFacts := make(FactSet)
+		for _, imp := range pkg.Imports {
+			if !inGraph[imp] {
+				continue
+			}
+			facts, analyzed := visible[imp]
+			if !analyzed {
+				return nil, fmt.Errorf("analysis: %s listed before its dependency %s", pkg.ImportPath, imp)
+			}
+			depFacts.AddAll(facts)
+		}
+		inScope := !pkg.DepOnly && (opt.InScope == nil || opt.InScope(pkg.ImportPath))
+		res, err := analyzePackage(pkg, analyzers, opt, inScope, depFacts)
+		if err != nil {
+			return nil, err
+		}
+		depFacts.AddAll(res.Facts)
+		visible[pkg.ImportPath] = depFacts.Sorted()
+		out = append(out, res)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ImportPath < out[j].ImportPath })
 	return out, nil
@@ -259,11 +99,6 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer, opt RunOptions, inScope
 			ImportedFacts:  depFacts,
 			ExportFact: func(obj types.Object, kind string) {
 				if sym := SymbolName(obj); sym != "" {
-					exported.Add(sym, kind)
-				}
-			},
-			ExportSymFact: func(sym, kind string) {
-				if sym != "" {
 					exported.Add(sym, kind)
 				}
 			},
@@ -297,35 +132,4 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer, opt RunOptions, inScope
 		Findings:   findings,
 		Facts:      exported.Sorted(),
 	}, nil
-}
-
-// AnalyzersHash renders the analyzer set as a stable "name@version" list —
-// the cache-key component that ties cached results to both which analyzers
-// ran and which revision of their logic ran. Bumping one Analyzer.Version
-// changes this string and with it every result-cache key, so findings
-// computed by the old logic are never served as if the new logic had run.
-func AnalyzersHash(analyzers []*Analyzer) string {
-	names := make([]string, len(analyzers))
-	for i, a := range analyzers {
-		names[i] = fmt.Sprintf("%s@%d", a.Name, a.Version)
-	}
-	return strings.Join(names, ",")
-}
-
-// resultCacheKey derives the cache key for one package's run: everything
-// the result depends on is hashed — source bytes (via the package content
-// hash), the analyzer set with per-analyzer versions (AnalyzersHash), the
-// mode flags, and the facts of every transitive dependency, so an upstream
-// annotation change invalidates every downstream entry.
-func resultCacheKey(pkg *Package, analyzers []*Analyzer, opt RunOptions, inScope bool, depFacts FactSet) string {
-	h := newContentHash()
-	h.addString("schema", cacheSchema)
-	h.addString("package", pkg.ImportPath)
-	h.addString("content", pkg.ContentHash)
-	h.addString("analyzers", AnalyzersHash(analyzers))
-	h.addString("mode", fmt.Sprintf("keep=%t scope=%t", opt.KeepSuppressed, inScope))
-	for _, f := range depFacts.Sorted() {
-		h.addString("fact", f.Sym+"\x00"+f.Kind)
-	}
-	return h.sum()
 }

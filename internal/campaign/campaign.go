@@ -26,6 +26,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/exp"
@@ -179,15 +180,16 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// ParseCondition maps a Table IV label ("C1".."C7", case-insensitive digit
-// form accepted) back to the failure condition.
+// ParseCondition maps a Table IV label ("C1".."C7", case-insensitive) back
+// to the failure condition. It is the one condition parser shared by the
+// campaign, serve and scenario front ends.
 func ParseCondition(label string) (failure.Condition, error) {
 	for _, c := range failure.AllConditions() {
-		if c.String() == label {
+		if strings.EqualFold(c.String(), label) {
 			return c, nil
 		}
 	}
-	return 0, fmt.Errorf("campaign: unknown failure condition %q", label)
+	return 0, fmt.Errorf("campaign: unknown failure condition %q (want C1..C7)", label)
 }
 
 // Matrix is a declarative run matrix: the cross product of its axes

@@ -79,8 +79,15 @@ func TestParseCondition(t *testing.T) {
 			t.Fatalf("ParseCondition(%s) = %v, %v", c, got, err)
 		}
 	}
-	if _, err := ParseCondition("C0"); err == nil {
-		t.Fatal("C0 accepted")
+	for label, want := range map[string]failure.Condition{"c1": failure.C1, "C1": failure.C1, "c7": failure.C7} {
+		if got, err := ParseCondition(label); err != nil || got != want {
+			t.Errorf("ParseCondition(%q) = %v, %v; want %v", label, got, err, want)
+		}
+	}
+	for _, label := range []string{"C0", "C8", "C10", "", "1", "CC1"} {
+		if got, err := ParseCondition(label); err == nil {
+			t.Errorf("ParseCondition(%q) = %v, want an error", label, got)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@
 // zero-size latency samples against the data plane's queue occupancy, not
 // as real packets, so they perturb neither the conservation ledgers nor
 // the forwarding traces. Everything is deterministic — no wall clock, no
-// RNG — and all state is owned by the embedding network's shard.
+// RNG — and all state is owned by the embedding network.
 package detect
 
 import (
@@ -202,8 +202,6 @@ func New(spec Spec, dp DataPlane) (Detector, error) {
 // endpoint of a changed link samples the link's state exactly delay later
 // and adopts it as its belief. Flaps within the window collapse to the
 // final state because sampling happens at fire time.
-//
-//f2tree:shardlocal
 type fixedDetector struct {
 	dp    DataPlane
 	delay time.Duration

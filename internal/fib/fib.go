@@ -143,11 +143,7 @@ type cacheEntry struct {
 }
 
 // Table is a forwarding table. The zero value is not usable; call New.
-// Each table belongs to one switch on one simulation shard; sharing one
-// across shards (or caching it globally) breaks the sharded core's
-// ownership model.
-//
-//f2tree:shardlocal
+// Each table belongs to one switch in one simulation.
 type Table struct {
 	// byLen[b] maps masked network addresses of length b to entries.
 	//f2tree:epochguarded

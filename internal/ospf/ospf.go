@@ -119,10 +119,7 @@ type Domain struct {
 	selfCheck bool
 }
 
-// Instance is the per-router protocol state. It lives on the shard that
-// owns its router.
-//
-//f2tree:shardlocal
+// Instance is the per-router protocol state.
 type Instance struct {
 	d    *Domain
 	node topo.NodeID

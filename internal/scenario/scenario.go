@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/bgp"
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/exp"
@@ -159,7 +160,7 @@ func (sc *Scenario) Validate() error {
 		}
 		switch ev.Action {
 		case "fail-condition":
-			if _, err := parseCondition(ev.Condition); err != nil {
+			if _, err := campaign.ParseCondition(ev.Condition); err != nil {
 				return fmt.Errorf("scenario: event %d: %w", i, err)
 			}
 			if ev.Flow < 0 || ev.Flow >= len(sc.Flows) {
@@ -310,7 +311,7 @@ func Run(sc *Scenario) (*Report, error) {
 			if ev.Flow < 0 || ev.Flow >= len(runs) {
 				return nil, fmt.Errorf("scenario: event references flow %d", ev.Flow)
 			}
-			cond, err := parseCondition(ev.Condition)
+			cond, err := campaign.ParseCondition(ev.Condition)
 			if err != nil {
 				return nil, fmt.Errorf("scenario: %w", err)
 			}
@@ -388,16 +389,6 @@ func Run(sc *Scenario) (*Report, error) {
 		})
 	}
 	return rep, nil
-}
-
-// parseCondition maps "C1".."C7".
-func parseCondition(s string) (failure.Condition, error) {
-	for _, c := range failure.AllConditions() {
-		if strings.EqualFold(c.String(), s) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown condition %q", s)
 }
 
 // WriteReport renders the report as indented JSON.

@@ -13,13 +13,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/chaos"
 	"repro/internal/exp"
-	"repro/internal/failure"
 	"repro/internal/ospf"
 	"repro/internal/sim"
 )
@@ -123,7 +122,7 @@ func (q Query) normalized() (Query, error) {
 		if q.Link != nil || q.Control != "" || q.RestoreAtMs != 0 || q.BudgetMs != 0 || len(q.Flows) != 0 {
 			return q, fmt.Errorf("serve: link, control, restoreAtMs, budgetMs and flows are whatif-query fields")
 		}
-		if _, err := parseCondition(q.Condition); err != nil {
+		if _, err := campaign.ParseCondition(q.Condition); err != nil {
 			return q, err
 		}
 		if _, err := exp.BuildTopology(exp.Scheme(q.Scheme), q.Ports); err != nil {
@@ -162,19 +161,6 @@ func (q Query) scenario() *chaos.Scenario {
 			B:     q.Link.B,
 		}},
 	}
-}
-
-// parseCondition maps "C1".."C7" to the failure condition.
-func parseCondition(s string) (failure.Condition, error) {
-	if len(s) == 2 && (s[0] == 'C' || s[0] == 'c') {
-		if n, err := strconv.Atoi(s[1:]); err == nil {
-			c := failure.Condition(n)
-			if c >= failure.C1 && c <= failure.C7 {
-				return c, nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("serve: unknown condition %q (want C1..C7)", s)
 }
 
 // FlowReport is one workload flow's outcome in a whatif report.
@@ -270,7 +256,7 @@ func runWhatIf(q Query) (*Report, error) {
 }
 
 func runRecovery(q Query) (*Report, error) {
-	cond, err := parseCondition(q.Condition)
+	cond, err := campaign.ParseCondition(q.Condition)
 	if err != nil {
 		return nil, err
 	}

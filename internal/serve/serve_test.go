@@ -102,12 +102,15 @@ func TestAnswerCoalescesConcurrentIdenticalQueries(t *testing.T) {
 			reps[i], _, errs[i] = s.Answer(whatIfQuery(1))
 		}(i)
 	}
-	// Wait until one run is actually in flight, then release it.
+	// Release the run only once every other caller has joined it. Answer
+	// counts a coalesced caller before that caller blocks on the flight,
+	// so Coalesced == n-1 means no caller can still arrive late and find
+	// the finished result in the cache instead.
 	deadline := time.Now().Add(5 * time.Second) //f2tree:wallclock test deadline
-	for r.count() == 0 {
+	for s.Metrics().Coalesced < n-1 {
 		//f2tree:wallclock test deadline
 		if time.Now().After(deadline) {
-			t.Fatal("runner never started")
+			t.Fatalf("only %d of %d callers coalesced onto the in-flight run", s.Metrics().Coalesced, n-1)
 		}
 		time.Sleep(time.Millisecond) //f2tree:wallclock polling in a concurrency test
 	}

@@ -177,10 +177,7 @@ type AddrPlan struct {
 }
 
 // Topology is a mutable network graph — rewiring mutates links in place,
-// so a running simulation's topology is owned by that simulation's shard
-// like the rest of its state.
-//
-//f2tree:shardlocal
+// so a running simulation owns its topology like the rest of its state.
 type Topology struct {
 	Name  string
 	Nodes []Node
