@@ -148,3 +148,83 @@ func TestLookupMatchesUncached(t *testing.T) {
 		}
 	}
 }
+
+// TestFlowCacheBeyondCapMatchesUncached drives more flows than the cache
+// holds, across epoch bumps from both route changes and usability flips,
+// and checks every lookup against an uncached twin table. It also pins the
+// sizing contract: the slot array starts at no more than 16 slots, only
+// doubles, and never exceeds the cap.
+func TestFlowCacheBeyondCapMatchesUncached(t *testing.T) {
+	build := func() *Table {
+		tbl := New()
+		for i := 0; i < 32; i++ {
+			p, err := netaddr.PrefixFrom(netaddr.AddrFrom4(10, 11, byte(i), 0), 24)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.Add(Route{Prefix: p, Source: OSPF,
+				NextHops: []NextHop{{Port: i % 4}, {Port: (i + 1) % 4}, {Port: (i + 2) % 4}}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tbl.Add(Route{Prefix: netaddr.MustParsePrefix("10.11.0.0/16"), Source: Static,
+			NextHops: []NextHop{{Port: 10}}}); err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	plain, cached := build(), build()
+	const capSlots = 256
+	cached.EnableFlowCache(capSlots)
+	if n := len(cached.cache); n > 16 {
+		t.Fatalf("cache starts with %d slots, want at most 16", n)
+	}
+	dead := map[int]bool{}
+	usable := func(nh NextHop) bool { return !dead[nh.Port] }
+	lastLen := len(cached.cache)
+	for round := 0; round < 12; round++ {
+		switch round % 3 {
+		case 1: // a port flips: the owner's half of the epoch contract
+			dead[round%4] = !dead[round%4]
+			plain.InvalidateFlowCache()
+			cached.InvalidateFlowCache()
+		case 2: // a route changes: the table's own half
+			p := netaddr.MustParsePrefix("10.11.3.0/24")
+			hops := []NextHop{{Port: round % 4}}
+			for _, tbl := range []*Table{plain, cached} {
+				if err := tbl.Add(Route{Prefix: p, Source: OSPF, NextHops: hops}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// 4× the cap in distinct flows, each looked up twice so the second
+		// lookup can come from the cache.
+		for i := 0; i < 4*capSlots; i++ {
+			dst := netaddr.AddrFrom4(10, 11, byte(i%32), byte(i/32))
+			f := FlowKey{Src: netaddr.AddrFrom4(10, 11, 40, byte(i)), Dst: dst, Proto: 6,
+				SrcPort: uint16(1000 + i*7), DstPort: uint16(80 + round)}
+			var want Result
+			for rep := 0; rep < 2; rep++ {
+				r1, ok1 := plain.Lookup(dst, f, usable)
+				want = r1
+				r2, ok2 := cached.Lookup(dst, f, usable)
+				if ok1 != ok2 || r1 != r2 {
+					t.Fatalf("round %d flow %d: uncached (%+v, %v) != cached (%+v, %v)", round, i, r1, ok1, r2, ok2)
+				}
+			}
+			// The comparison above means something only if lookups are
+			// really served from the cache: the entry just made is live.
+			if r, ok := cached.cacheGet(f); !ok || r != want {
+				t.Fatalf("round %d flow %d: no live cache entry right after its lookup", round, i)
+			}
+			n := len(cached.cache)
+			if n > capSlots || (n != lastLen && n != 2*lastLen) || n&(n-1) != 0 {
+				t.Fatalf("cache resized %d → %d slots (cap %d); want power-of-two doubling up to the cap", lastLen, n, capSlots)
+			}
+			lastLen = n
+		}
+	}
+	if lastLen != capSlots {
+		t.Fatalf("cache ended at %d slots; 4× its cap in flows should have grown it to %d", lastLen, capSlots)
+	}
+}

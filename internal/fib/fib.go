@@ -11,6 +11,7 @@ package fib
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -135,12 +136,34 @@ func (e *entry) best() []NextHop {
 	return hops
 }
 
-// cacheEntry is one memoized lookup; it is live only while its epoch
-// matches the table's.
-type cacheEntry struct {
-	res   Result
-	epoch uint64
+// slotHash mixes the five-tuple into the flow cache's slot index; the
+// table uses its top bits. It is cheaper than Hash, which stays the ECMP
+// pick so next-hop choices do not depend on the cache.
+//
+//f2tree:hotpath
+func (k FlowKey) slotHash() uint64 {
+	x := uint64(k.Src)<<32 | uint64(k.Dst)
+	y := uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto)
+	h := (x ^ y*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
+	return h ^ h>>31
 }
+
+// cacheSlot is one memoized lookup in the open-addressed flow cache. It is
+// live only while stamp equals the table's epoch+1: the zero slot is never
+// live, and an epoch bump frees every slot at once.
+type cacheSlot struct {
+	key   FlowKey
+	res   Result
+	stamp uint64
+}
+
+// Flow-cache sizing: a table starts at cacheInitSlots (or its cap, if
+// smaller) and doubles toward the cap only when a key's probe window of
+// cacheProbe slots is full, so switches that see few flows stay small.
+const (
+	cacheInitSlots = 16
+	cacheProbe     = 8
+)
 
 // Table is a forwarding table. The zero value is not usable; call New.
 // Each table belongs to one switch in one simulation.
@@ -160,9 +183,13 @@ type Table struct {
 	// mutations bump it internally; link-usability transitions must bump
 	// it via InvalidateFlowCache (the usable predicate is external state).
 	//f2tree:epoch
-	epoch    uint64
-	cache    map[FlowKey]cacheEntry
-	cacheCap int
+	epoch uint64
+	// cache is the flow→Result memo: open-addressed, linear probing over
+	// a power-of-two slot array indexed by the top bits of slotHash
+	// (cacheShift = 64 − log2 len). nil when the cache is disabled.
+	cache      []cacheSlot
+	cacheShift uint
+	cacheCap   int // power of two; len(cache) never exceeds it
 }
 
 // New returns an empty table.
@@ -171,8 +198,12 @@ func New() *Table {
 }
 
 // EnableFlowCache turns on flow→Result memoization for Lookup. capEntries
-// bounds the map (≤ 0 means a default of 4096); at capacity the cache is
-// reset rather than evicted, keeping behaviour deterministic.
+// bounds the slot count (≤ 0 means a default of 4096; other values round
+// down to a power of two). The table starts with at most cacheInitSlots
+// slots and doubles only when an insert finds its probe window full; at
+// the cap, a full window overwrites the key's home slot. Hits return
+// exactly what an uncached lookup would, so sizing and eviction change
+// speed, never results.
 //
 // Correctness contract: the cache is invalidated by epoch comparison, and
 // the epoch advances automatically on every Add/Remove/ReplaceSource. The
@@ -183,8 +214,79 @@ func (t *Table) EnableFlowCache(capEntries int) {
 	if capEntries <= 0 {
 		capEntries = 4096
 	}
-	t.cacheCap = capEntries
-	t.cache = make(map[FlowKey]cacheEntry, 64)
+	t.cacheCap = 1 << (bits.Len(uint(capEntries)) - 1)
+	t.resizeCache(min(cacheInitSlots, t.cacheCap))
+}
+
+// resizeCache replaces the slot array with one of n slots (a power of two)
+// and re-inserts the live entries. An entry whose new window is full is
+// dropped: it is only a cache.
+//
+//f2tree:hotpath
+func (t *Table) resizeCache(n int) {
+	old := t.cache
+	t.cache = make([]cacheSlot, n)
+	t.cacheShift = uint(64 - bits.TrailingZeros(uint(n)))
+	live := t.epoch + 1
+	for i := range old {
+		if old[i].stamp == live {
+			if j := t.freeSlot(old[i].key); j >= 0 {
+				t.cache[j] = old[i]
+			}
+		}
+	}
+}
+
+// cacheGet returns the memoized result for flow, if live. Within an epoch
+// slots are only ever filled, never emptied, so probing stops at the first
+// free slot.
+//
+//f2tree:hotpath
+func (t *Table) cacheGet(flow FlowKey) (Result, bool) {
+	live := t.epoch + 1
+	mask := len(t.cache) - 1
+	i := int(flow.slotHash() >> t.cacheShift)
+	for j := 0; j < cacheProbe && j <= mask; j++ {
+		sl := &t.cache[(i+j)&mask]
+		if sl.stamp != live {
+			break
+		}
+		if sl.key == flow {
+			return sl.res, true
+		}
+	}
+	return Result{}, false
+}
+
+// freeSlot returns the first slot in flow's probe window that holds no
+// live entry, or −1 when the window is full.
+//
+//f2tree:hotpath
+func (t *Table) freeSlot(flow FlowKey) int {
+	live := t.epoch + 1
+	mask := len(t.cache) - 1
+	i := int(flow.slotHash() >> t.cacheShift)
+	for j := 0; j < cacheProbe && j <= mask; j++ {
+		if k := (i + j) & mask; t.cache[k].stamp != live {
+			return k
+		}
+	}
+	return -1
+}
+
+// cachePut memoizes a lookup that cacheGet just missed.
+//
+//f2tree:hotpath
+func (t *Table) cachePut(flow FlowKey, res Result) {
+	j := t.freeSlot(flow)
+	if j < 0 && len(t.cache) < t.cacheCap {
+		t.resizeCache(2 * len(t.cache))
+		j = t.freeSlot(flow)
+	}
+	if j < 0 {
+		j = int(flow.slotHash() >> t.cacheShift) // full at the cap: evict the home slot
+	}
+	t.cache[j] = cacheSlot{key: flow, res: res, stamp: t.epoch + 1}
 }
 
 // InvalidateFlowCache discards every memoized lookup by advancing the
@@ -336,8 +438,8 @@ func (t *Table) Lookup(dst netaddr.Addr, flow FlowKey, usable func(NextHop) bool
 	// flow's destination); diagnostic lookups with a detached dst bypass it.
 	cached := t.cache != nil && dst == flow.Dst
 	if cached {
-		if e, ok := t.cache[flow]; ok && e.epoch == t.epoch {
-			return e.res, true
+		if res, ok := t.cacheGet(flow); ok {
+			return res, true
 		}
 	}
 	var scratch [16]NextHop
@@ -364,10 +466,7 @@ func (t *Table) Lookup(dst netaddr.Addr, flow FlowKey, usable func(NextHop) bool
 		pick := live[int(flow.Hash()%uint32(len(live)))]
 		res := Result{Prefix: netaddr.PrefixOf(dst, b), NextHop: pick}
 		if cached {
-			if len(t.cache) >= t.cacheCap {
-				t.cache = make(map[FlowKey]cacheEntry, 64)
-			}
-			t.cache[flow] = cacheEntry{res: res, epoch: t.epoch}
+			t.cachePut(flow, res)
 		}
 		return res, true
 	}

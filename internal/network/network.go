@@ -104,10 +104,66 @@ type linkDir struct {
 	up bool
 	// nextFree is when the transmitter finishes the last accepted packet.
 	nextFree sim.Time
+	// A direction is FIFO — one serial transmitter plus a fixed
+	// propagation delay — so its packets arrive in the order they were
+	// accepted, and only the oldest one in queue or flight (the head)
+	// holds a simulator event; headBusy says whether it exists. The
+	// packets behind it wait in transmit order, each with the order key
+	// it reserved when accepted, and the head's arrival schedules the
+	// next.
+	headBusy bool
+	waiting  flightRing
 	// Telemetry.
 	packets      uint64
 	bytes        uint64
 	peakBacklogB float64
+}
+
+// flight is one packet waiting behind a link direction's head: its
+// arrival record and the event order key (arrival time, sequence number
+// reserved at transmit) under which the arrival runs once it is the head.
+type flight struct {
+	at  sim.Time
+	seq uint64
+	ev  *netEvent
+}
+
+// flightRing is a power-of-two FIFO ring that wraps around, so a
+// direction's memory is bounded by its peak backlog, not its traffic.
+type flightRing struct {
+	buf  []flight
+	head int
+	n    int
+}
+
+// push appends f at the tail, doubling the ring when it is full.
+//
+//f2tree:hotpath
+func (r *flightRing) push(f flight) {
+	if r.n == len(r.buf) {
+		grown := make([]flight, max(4, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = f
+	r.n++
+}
+
+// pop removes and returns the oldest entry, if any. The vacated slot
+// keeps its stale record pointer until overwritten: records are pooled, so
+// it pins nothing, and leaving it spares a GC write barrier per packet.
+//
+//f2tree:hotpath
+func (r *flightRing) pop() (flight, bool) {
+	if r.n == 0 {
+		return flight{}, false
+	}
+	f := r.buf[r.head]
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return f, true
 }
 
 type linkState struct {
@@ -192,7 +248,15 @@ func runNetEvent(now sim.Time, arg any) {
 	pkt := ev.pkt
 	switch ev.kind {
 	case evArrive:
-		if !n.links[ev.link].dirs[ev.dir].up {
+		// ev was the direction's head; the next waiting packet becomes
+		// the head under the order key it reserved when accepted.
+		d := &n.links[ev.link].dirs[ev.dir]
+		if f, ok := d.waiting.pop(); ok {
+			n.sim.AtArgSeq(f.at, f.seq, runNetEvent, f.ev)
+		} else {
+			d.headBusy = false
+		}
+		if !d.up {
 			// The direction died while the packet was in queue or flight.
 			n.putEvent(ev)
 			n.drop(now, ev.from, pkt, DropLinkDown)
@@ -652,25 +716,34 @@ func (n *Network) transmit(now sim.Time, node topo.NodeID, port int, pkt *Packet
 	if d.nextFree > start {
 		start = d.nextFree
 	}
-	// Drop-tail: the backlog ahead of this packet, in bytes, must fit the
-	// queue.
-	backlogBytes := start.Sub(now).Seconds() * n.cfg.BandwidthBps / 8
-	if backlogBytes > float64(n.cfg.QueueBytes) {
-		n.drop(now, node, pkt, DropQueueOverflow)
-		return
+	if start > now {
+		// Drop-tail: the backlog ahead of this packet, in bytes, must fit
+		// the queue. An idle transmitter has none.
+		backlogBytes := start.Sub(now).Seconds() * n.cfg.BandwidthBps / 8
+		if backlogBytes > float64(n.cfg.QueueBytes) {
+			n.drop(now, node, pkt, DropQueueOverflow)
+			return
+		}
+		if backlogBytes > d.peakBacklogB {
+			d.peakBacklogB = backlogBytes
+		}
 	}
 	d.packets++
 	d.bytes += uint64(pkt.Size)
-	if backlogBytes > d.peakBacklogB {
-		d.peakBacklogB = backlogBytes
-	}
 	d.nextFree = start.Add(txTime)
 	other, _ := l.Other(node)
 	arrive := d.nextFree.Add(n.cfg.PropDelay)
 	ev := n.getEvent()
 	//f2tree:retained ownership transfers to the in-flight record until runNetEvent releases it
 	ev.kind, ev.pkt, ev.node, ev.from, ev.link, ev.dir = evArrive, pkt, other, node, l.ID, int8(dir)
-	n.sim.AtArg(arrive, runNetEvent, ev)
+	if !d.headBusy {
+		d.headBusy = true
+		n.sim.AtArg(arrive, runNetEvent, ev)
+		return
+	}
+	// Behind the head: reserve the arrival's order key now, exactly as
+	// scheduling it would, and wait.
+	d.waiting.push(flight{at: arrive, seq: n.sim.ReserveSeq(), ev: ev})
 }
 
 // arrive handles pkt reaching node.

@@ -15,6 +15,7 @@ package ospf
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"repro/internal/detsort"
@@ -296,9 +297,18 @@ func (d *Domain) Bootstrap() error {
 			inst.lsdb[src.node] = src.lsdb[src.node]
 		}
 	}
+	// Every LSDB now holds the same LSAs, so every router would build the
+	// same two-way-checked graph: build it once and give each router its
+	// own copy of the row map. Rows are shared but never edited in place
+	// (the incremental path replaces whole rows through setRow).
+	var shared map[topo.NodeID][]edge
+	if len(ids) > 0 {
+		shared = d.instances[ids[0]].buildGraph()
+	}
 	for _, id := range ids {
 		inst := d.instances[id]
-		routes := inst.computeRoutes()
+		inst.resetSPF(maps.Clone(shared))
+		routes := inst.emitRoutes()
 		if err := d.nw.Table(inst.node).ReplaceSource(fib.OSPF, routes); err != nil {
 			return fmt.Errorf("bootstrap %s: %w", d.topo.Node(inst.node).Name, err)
 		}

@@ -155,9 +155,14 @@ func (i *Instance) runBFS(graph map[topo.NodeID][]edge) (map[topo.NodeID]int, ma
 
 // computeFull rebuilds the shortest-path state from scratch and resets the
 // incremental bookkeeping.
-func (i *Instance) computeFull() {
+func (i *Instance) computeFull() { i.resetSPF(i.buildGraph()) }
+
+// resetSPF makes graph — the two-way-checked rows of the current LSDB,
+// owned by this instance from now on — the shortest-path state and runs a
+// full BFS over it.
+func (i *Instance) resetSPF(graph map[topo.NodeID][]edge) {
 	st := &i.spf
-	st.graph = i.buildGraph()
+	st.graph = graph
 	st.dist, st.nh = i.runBFS(st.graph)
 	st.dirty = nil
 	st.valid = true

@@ -6,9 +6,10 @@
 // randomness through the simulator's seeded RNG.
 //
 // The event core is allocation-free in steady state: scheduled events live
-// in a concrete indexed 4-ary min-heap of *item, items are recycled through
-// a free list, and Handles carry a generation counter so a handle to an
-// already-run (and possibly recycled) event is safely inert. The AtArg/
+// in a concrete indexed 4-ary min-heap of pointer-free (time, seq, id)
+// entries, their payload items are recycled through a free list, and
+// Handles carry a generation counter so a handle to an already-run (and
+// possibly recycled) event is safely inert. The AtArg/
 // AfterArg variants let hot paths schedule a static function plus a pooled
 // argument record instead of allocating a fresh closure per event.
 package sim
@@ -55,24 +56,32 @@ type Event func(now Time)
 // thread per-event state through arg, typically a pooled record.
 type ArgEvent func(now Time, arg any)
 
-// item is a scheduled event in the priority queue. Items are pooled: gen
-// increments every time an item is released, invalidating outstanding
-// Handles before the item can be reused.
+// item is a scheduled event's payload. Items are pooled: gen increments
+// every time an item is released, invalidating outstanding Handles before
+// the item can be reused. id is the item's permanent slot in the
+// simulator's id-indexed tables; the heap refers to the item by it.
 //
 //f2tree:pooled
 type item struct {
-	at    Time
-	seq   uint64 // tie-break: FIFO among equal times
 	fn    Event
 	argFn ArgEvent
 	arg   any
-	index int32 // heap index; -1 once popped or canceled
 	gen   uint64
+	id    int32
 }
 
-// itemLess is the total event order: (at, seq). seq is unique, so there are
+// entry is one heap slot: the event's order key plus its item's id. It
+// holds no pointers, so sifting compares keys inline without chasing an
+// item and moves entries without GC write barriers.
+type entry struct {
+	at  Time
+	seq uint64 // tie-break: FIFO among equal times
+	id  int32
+}
+
+// less is the total event order: (at, seq). seq is unique, so there are
 // never ties and heap pop order is deterministic.
-func itemLess(a, b *item) bool {
+func (a entry) less(b entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -81,28 +90,36 @@ func itemLess(a, b *item) bool {
 
 // Handle identifies a scheduled event so it can be canceled. The generation
 // pin makes stale handles safe: once the event has run or been canceled its
-// item may be recycled for a new event, and the old handle must not cancel
-// the new occupant.
+// item is released (bumping gen) and may be recycled for a new event, and
+// the old handle must not cancel the new occupant. An item leaves the heap
+// only to be released, so a matching generation means the event is pending.
 type Handle struct {
 	it  *item
 	gen uint64
 }
 
 // Active reports whether the event is still pending.
-func (h Handle) Active() bool { return h.it != nil && h.it.gen == h.gen && h.it.index >= 0 }
+func (h Handle) Active() bool { return h.it != nil && h.it.gen == h.gen }
 
 // ErrStopped is returned by Run when the simulation was stopped explicitly.
 var ErrStopped = errors.New("sim: stopped")
 
 // Simulator owns the virtual clock and event queue.
 type Simulator struct {
-	now     Time
-	heap    []*item // indexed 4-ary min-heap ordered by itemLess
-	free    []*item // recycled items
-	seq     uint64
-	rng     *rand.Rand
+	now   Time
+	heap  []entry // indexed 4-ary min-heap ordered by entry.less
+	items []*item // by item id
+	pos   []int32 // by item id: heap index while pending
+	free  []int32 // ids of recycled items
+	seq   uint64
+	rng   *rand.Rand
+
 	stopped bool
-	ran     uint64
+
+	// Counters: plain fields, read through the accessors below.
+	ran         uint64
+	cancelled   uint64
+	peakPending int
 }
 
 // New returns a simulator whose RNG is seeded with seed.
@@ -119,7 +136,16 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // EventsRun returns the number of events executed so far.
 func (s *Simulator) EventsRun() uint64 { return s.ran }
 
-// Pending returns the number of events still queued.
+// EventsCancelled returns the number of pending events removed by Cancel.
+func (s *Simulator) EventsCancelled() uint64 { return s.cancelled }
+
+// PeakPending returns the largest Pending value seen so far.
+func (s *Simulator) PeakPending() int { return s.peakPending }
+
+// Pending returns the number of events queued in the simulator. It counts
+// only scheduled events: work a model holds back and schedules later under
+// a reserved sequence number (packets waiting behind a link's head packet,
+// see AtArgSeq) is not included.
 func (s *Simulator) Pending() int { return len(s.heap) }
 
 // get returns a fresh or recycled item.
@@ -127,40 +153,57 @@ func (s *Simulator) Pending() int { return len(s.heap) }
 //f2tree:hotpath
 func (s *Simulator) get() *item {
 	if n := len(s.free); n > 0 {
-		it := s.free[n-1]
-		s.free[n-1] = nil
+		id := s.free[n-1]
 		s.free = s.free[:n-1]
-		return it
+		return s.items[id]
 	}
-	return &item{}
+	it := &item{id: int32(len(s.items))}
+	s.items = append(s.items, it) //f2tree:alloc amortized id-table growth, zero once warm
+	s.pos = append(s.pos, 0)      //f2tree:alloc amortized id-table growth, zero once warm
+	return it
 }
 
 // put releases an item to the free list. The generation bump here is what
-// deactivates every Handle issued for the item's previous life.
+// deactivates every Handle issued for the item's previous life. Only the
+// callback fields in use are cleared (schedule sets one kind or the
+// other), sparing GC write barriers on nil stores.
 //
 //f2tree:hotpath
 func (s *Simulator) put(it *item) {
 	it.gen++
-	it.fn, it.argFn, it.arg = nil, nil, nil
-	it.index = -1
-	//f2tree:retained the free list IS the pool; this append is the recycle step
-	s.free = append(s.free, it) //f2tree:alloc amortized free-list growth, zero once warm
+	if it.fn != nil {
+		it.fn = nil
+	} else {
+		it.argFn, it.arg = nil, nil
+	}
+	s.free = append(s.free, it.id) //f2tree:alloc amortized free-list growth, zero once warm
 }
 
-// schedule enqueues one event. Scheduling in the past is treated as "now"
-// (the event runs before time advances further).
+// nextSeq takes the next tie-break number.
+func (s *Simulator) nextSeq() uint64 {
+	q := s.seq
+	s.seq++
+	return q
+}
+
+// schedule enqueues one event under order key (at, seq). Scheduling in the
+// past is treated as "now" (the event runs before time advances further).
 //
 //f2tree:hotpath
-func (s *Simulator) schedule(at Time, fn Event, argFn ArgEvent, arg any) Handle {
+func (s *Simulator) schedule(at Time, seq uint64, fn Event, argFn ArgEvent, arg any) Handle {
 	if at < s.now {
 		at = s.now
 	}
 	it := s.get()
-	it.at, it.seq = at, s.seq
-	it.fn, it.argFn, it.arg = fn, argFn, arg
-	s.seq++
-	it.index = int32(len(s.heap))
-	s.heap = append(s.heap, it) //f2tree:alloc amortized heap growth, zero once warm
+	if fn != nil {
+		it.fn = fn
+	} else {
+		it.argFn, it.arg = argFn, arg
+	}
+	s.heap = append(s.heap, entry{at: at, seq: seq, id: it.id}) //f2tree:alloc amortized heap growth, zero once warm
+	if n := len(s.heap); n > s.peakPending {
+		s.peakPending = n
+	}
 	s.siftUp(len(s.heap) - 1)
 	return Handle{it: it, gen: it.gen}
 }
@@ -169,7 +212,7 @@ func (s *Simulator) schedule(at Time, fn Event, argFn ArgEvent, arg any) Handle 
 //
 //f2tree:hotpath
 func (s *Simulator) At(at Time, fn Event) Handle {
-	return s.schedule(at, fn, nil, nil)
+	return s.schedule(at, s.nextSeq(), fn, nil, nil)
 }
 
 // After schedules fn to run d after the current time.
@@ -179,7 +222,7 @@ func (s *Simulator) After(d time.Duration, fn Event) Handle {
 	if d < 0 {
 		d = 0
 	}
-	return s.schedule(s.now.Add(d), fn, nil, nil)
+	return s.schedule(s.now.Add(d), s.nextSeq(), fn, nil, nil)
 }
 
 // AtArg schedules fn(now, arg) at the absolute virtual time at. fn should
@@ -188,7 +231,7 @@ func (s *Simulator) After(d time.Duration, fn Event) Handle {
 //
 //f2tree:hotpath
 func (s *Simulator) AtArg(at Time, fn ArgEvent, arg any) Handle {
-	return s.schedule(at, nil, fn, arg)
+	return s.schedule(at, s.nextSeq(), nil, fn, arg)
 }
 
 // AfterArg schedules fn(now, arg) to run d after the current time.
@@ -198,7 +241,29 @@ func (s *Simulator) AfterArg(d time.Duration, fn ArgEvent, arg any) Handle {
 	if d < 0 {
 		d = 0
 	}
-	return s.schedule(s.now.Add(d), nil, fn, arg)
+	return s.schedule(s.now.Add(d), s.nextSeq(), nil, fn, arg)
+}
+
+// ReserveSeq takes the tie-break number the next scheduled event would get,
+// exactly as scheduling one now would, and returns it for a later AtArgSeq.
+// A model that knows an event's time now but queues it privately (a link
+// direction holding packets behind its head) reserves here so the event
+// keeps the place in the global order it would have had if scheduled now.
+//
+//f2tree:hotpath
+func (s *Simulator) ReserveSeq() uint64 { return s.nextSeq() }
+
+// AtArgSeq schedules fn(now, arg) at the absolute virtual time at under a
+// sequence number obtained from ReserveSeq; it does not advance the
+// sequence counter. Each reserved number must be used at most once, and
+// (at, seq) must not order before the event currently running — true for
+// any at later than now, and for a FIFO whose head just ran, since a FIFO's
+// later entries carry later keys. Under that contract the event runs at the
+// same (time, seq) position as if it had been scheduled at reservation.
+//
+//f2tree:hotpath
+func (s *Simulator) AtArgSeq(at Time, seq uint64, fn ArgEvent, arg any) Handle {
+	return s.schedule(at, seq, nil, fn, arg)
 }
 
 // Cancel removes a pending event. Canceling an already-run, already-
@@ -210,8 +275,9 @@ func (s *Simulator) Cancel(h Handle) bool {
 	if !h.Active() {
 		return false
 	}
-	s.removeAt(int(h.it.index))
+	s.removeAt(int(s.pos[h.it.id]))
 	s.put(h.it)
+	s.cancelled++
 	return true
 }
 
@@ -233,8 +299,9 @@ func (s *Simulator) Run(horizon Time) error {
 			s.now = horizon
 			return nil
 		}
-		it := s.removeAt(0)
-		s.now = it.at
+		s.popMin()
+		it := s.items[next.id]
+		s.now = next.at
 		s.ran++
 		fn, argFn, arg := it.fn, it.argFn, it.arg
 		// Release before running: the handle is already dead (generation
@@ -259,26 +326,28 @@ func (s *Simulator) RunUntilIdle() error { return s.Run(0) }
 //
 //f2tree:hotpath
 func (s *Simulator) siftUp(i int) {
-	it := s.heap[i]
+	h := s.heap
+	e := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !itemLess(it, s.heap[p]) {
+		if !e.less(h[p]) {
 			break
 		}
-		s.heap[i] = s.heap[p]
-		s.heap[i].index = int32(i)
+		h[i] = h[p]
+		s.pos[h[i].id] = int32(i)
 		i = p
 	}
-	s.heap[i] = it
-	it.index = int32(i)
+	h[i] = e
+	s.pos[e.id] = int32(i)
 }
 
 // siftDown restores the heap property from index i toward the leaves.
 //
 //f2tree:hotpath
 func (s *Simulator) siftDown(i int) {
-	n := len(s.heap)
-	it := s.heap[i]
+	h := s.heap
+	n := len(h)
+	e := h[i]
 	for {
 		c := i*4 + 1
 		if c >= n {
@@ -290,41 +359,49 @@ func (s *Simulator) siftDown(i int) {
 			end = n
 		}
 		for k := c + 1; k < end; k++ {
-			if itemLess(s.heap[k], s.heap[m]) {
+			if h[k].less(h[m]) {
 				m = k
 			}
 		}
-		if !itemLess(s.heap[m], it) {
+		if !h[m].less(e) {
 			break
 		}
-		s.heap[i] = s.heap[m]
-		s.heap[i].index = int32(i)
+		h[i] = h[m]
+		s.pos[h[i].id] = int32(i)
 		i = m
 	}
-	s.heap[i] = it
-	it.index = int32(i)
+	h[i] = e
+	s.pos[e.id] = int32(i)
 }
 
-// removeAt detaches the item at heap index i, preserving the heap order of
-// the rest, and returns it with index −1. The caller releases it via put.
+// popMin detaches the heap's root entry.
 //
 //f2tree:hotpath
-func (s *Simulator) removeAt(i int) *item {
+func (s *Simulator) popMin() {
 	n := len(s.heap) - 1
-	it := s.heap[i]
 	last := s.heap[n]
-	s.heap[n] = nil
+	s.heap = s.heap[:n]
+	if n > 0 {
+		s.heap[0] = last
+		s.siftDown(0)
+	}
+}
+
+// removeAt detaches the entry at heap index i, preserving the heap order
+// of the rest. The caller releases its item via put.
+//
+//f2tree:hotpath
+func (s *Simulator) removeAt(i int) {
+	n := len(s.heap) - 1
+	last := s.heap[n]
 	s.heap = s.heap[:n]
 	if i < n {
 		s.heap[i] = last
-		last.index = int32(i)
 		s.siftDown(i)
-		if int(last.index) == i {
+		if int(s.pos[last.id]) == i {
 			s.siftUp(i)
 		}
 	}
-	it.index = -1
-	return it
 }
 
 // ticker carries the state of one repeating timer; pooled per Ticker call
